@@ -33,8 +33,10 @@
 // (volatile cell contents may be arbitrary garbage after a crash).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -121,7 +123,7 @@ class alignas(kCacheLineBytes) DurableLog {
         }
       }
       c[kCellWords - 1] = checksum(c);
-      for (unsigned wi = 0; wi < kCellWords; ++wi) dom.pwb(&c[wi], st);
+      dom.pwb_range(c, kCellWords, st);
       entries += take;
       n -= take;
     }
@@ -137,7 +139,7 @@ class alignas(kCacheLineBytes) DurableLog {
     for (unsigned t = 0; t < 4; ++t) c[1 + t] = shard_ts ? shard_ts[t] : 0;
     for (unsigned wi = 5; wi < kCellWords - 1; ++wi) c[wi] = 0;
     c[kCellWords - 1] = checksum(c);
-    for (unsigned wi = 0; wi < kCellWords; ++wi) dom.pwb(&c[wi], st);
+    dom.pwb_range(c, kCellWords, st);
   }
 
   /// Recovery: rebase the volatile cursor/sequence state rebuilt from the
@@ -260,30 +262,29 @@ inline RecoveryReport recover(PersistDomain& dom, DurableLog& log,
     bool committed = false;
     bool aborted = false;
   };
-  // Ordered map: recovery visits transactions in ascending seq, making
-  // reports and replay deterministic for tests.
-  std::vector<std::pair<std::uint64_t, TxnRec>> txns;  // sorted by seq
+  // Sorted by seq: recovery visits transactions in ascending seq, making
+  // reports and replay deterministic for tests. Cells arrive in roughly
+  // ascending seq, so most inserts land at the end.
+  std::vector<std::pair<std::uint64_t, TxnRec>> txns;
   auto rec_of = [&txns](std::uint64_t seq) -> TxnRec& {
-    auto it = txns.begin();
-    while (it != txns.end() && it->first < seq) ++it;
+    auto it = std::lower_bound(
+        txns.begin(), txns.end(), seq,
+        [](const auto& e, std::uint64_t s) { return e.first < s; });
     if (it == txns.end() || it->first != seq)
       it = txns.insert(it, {seq, TxnRec{}});
     return it->second;
   };
 
-  std::vector<std::uint64_t> dcell(DurableLog::kCellWords);
+  std::uint64_t dcell[DurableLog::kCellWords] = {};
   std::uint64_t max_valid = 0;
   bool any_valid = false;
   for (std::size_t i = 0; i < log.cells(); ++i) {
-    const std::uint64_t* c = log.cell(i);
-    bool present = false;
-    for (unsigned wi = 0; wi < DurableLog::kCellWords; ++wi) {
-      dcell[wi] = dom.durable(&c[wi]);
-      present = present || dcell[wi] != 0;
-    }
-    if (!present) continue;
+    dom.durable_range(log.cell(i), DurableLog::kCellWords, dcell);
+    if (std::all_of(std::begin(dcell), std::end(dcell),
+                    [](std::uint64_t w) { return w == 0; }))
+      continue;
     ++rep.scanned_cells;
-    if (!DurableLog::valid_cell(dcell.data())) {
+    if (!DurableLog::valid_cell(dcell)) {
       ++rep.torn_cells;
       continue;
     }
@@ -320,15 +321,13 @@ inline RecoveryReport recover(PersistDomain& dom, DurableLog& log,
       continue;
     }
     for (auto ci = tr.chunk_cells.rbegin(); ci != tr.chunk_cells.rend(); ++ci) {
-      const std::uint64_t* c = log.cell(*ci);
-      std::uint64_t head = dom.durable(&c[0]);
-      const unsigned count = DurableLog::head_count(head);
+      dom.durable_range(log.cell(*ci), DurableLog::kCellWords, dcell);
+      const unsigned count = DurableLog::head_count(dcell[0]);
       for (unsigned p = count; p-- > 0;) {
         if (steps >= max_steps) goto budget_exhausted;
         ++steps;
-        auto* addr = reinterpret_cast<std::uint64_t*>(
-            dom.durable(&c[5 + 2 * p]));
-        const std::uint64_t old_val = dom.durable(&c[5 + 2 * p + 1]);
+        auto* addr = reinterpret_cast<std::uint64_t*>(dcell[5 + 2 * p]);
+        const std::uint64_t old_val = dcell[5 + 2 * p + 1];
         // raw-atomic: relaxed: quiesced undo replay (see phase 1).
         __atomic_store_n(addr, old_val, __ATOMIC_RELAXED);
         dom.pwb(addr, st);

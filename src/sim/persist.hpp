@@ -26,17 +26,27 @@
 //
 // Threading: one domain is shared by every worker (it models the memory
 // controller). All state is behind a simulator-internal spinlock; the
-// latency costs (burn_work) are paid outside it.
+// latency costs (burn_work) are paid outside it. `pwb_range` writes back a
+// run of consecutive words under one lock hold, so a 34-word log cell
+// costs one acquisition instead of 34.
+//
+// Layout: the flush queue is one flat insertion-ordered buffer (finding a
+// pending word is a scan of at most `flush_queue_depth` entries and
+// allocates nothing); the durable image is a set of shadow pages, one per
+// 4 KiB block of addresses, each holding the block's words and a presence
+// bitmap, found through a small open-addressed page table. A log cell's
+// 34 words land in one page (two if it straddles a page boundary), and
+// freeze() copies whole pages.
 //
 // The domain is only linked in the PHTM_PERSIST=1 flavor (persist.cpp is in
 // no other flavor's build — a stray reference from a plain build fails
 // loudly at link time, same pattern as sim/fault.cpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -62,6 +72,12 @@ class alignas(kCacheLineBytes) PersistDomain {
   /// eviction). Emits one kPersist trace event and bumps st (if given).
   void pwb(std::uint64_t* addr, StatSheet* st = nullptr);
 
+  /// Write back the `n` consecutive words starting at `addr`: exactly `n`
+  /// pwb calls in ascending address order (same value capture, queue
+  /// order, eviction, counters and ticks, one kPersist event per word),
+  /// taking the domain lock once.
+  void pwb_range(std::uint64_t* addr, std::size_t n, StatSheet* st = nullptr);
+
   /// Persist fence: drain every pending write-back into the durable image.
   void pfence(StatSheet* st = nullptr);
 
@@ -75,6 +91,11 @@ class alignas(kCacheLineBytes) PersistDomain {
   /// The word's durable value (0 if never formatted/persisted — persistent
   /// memory is presented zeroed, like the TM heap).
   std::uint64_t durable(const std::uint64_t* addr) const;
+
+  /// Durable values of the `n` consecutive words starting at `addr`, into
+  /// out[0..n): `n` durable() calls under one lock hold.
+  void durable_range(const std::uint64_t* addr, std::size_t n,
+                     std::uint64_t* out) const;
 
   /// Entire durable image, for discard-volatile-state restoration.
   std::vector<std::pair<std::uint64_t*, std::uint64_t>> snapshot_durable() const;
@@ -111,13 +132,95 @@ class alignas(kCacheLineBytes) PersistDomain {
   sim::PersistConfig config() const;
 
  private:
-  struct Image {
-    std::unordered_map<std::uint64_t*, std::uint64_t> durable;
-    std::unordered_map<std::uint64_t*, std::uint64_t> pending;
-    std::deque<std::uint64_t*> order;  ///< pending keys, oldest first
+  /// One pending write-back: the word and the value its pwb captured.
+  struct Pending {
+    std::uint64_t* addr;
+    std::uint64_t val;
   };
 
-  void drain_locked(Image& im) PHTM_REQUIRES(lock_);
+  /// The flush queue: pending write-backs in pwb order, oldest first, in
+  /// one flat buffer. Entries [head_, buf_.size()) are live; evicting the
+  /// oldest only advances head_, and a full buffer drops its dead prefix
+  /// once that is at least half of it, so the buffer stays within a small
+  /// multiple of the queue depth and a pwb allocates nothing once it has
+  /// grown.
+  class FlushQueue {
+   public:
+    std::size_t size() const noexcept { return buf_.size() - head_; }
+    const Pending* begin() const noexcept { return buf_.data() + head_; }
+    const Pending* end() const noexcept { return buf_.data() + buf_.size(); }
+    /// The live entry for `addr`, or nullptr (a scan of the live entries).
+    Pending* find(const std::uint64_t* addr) noexcept;
+    /// Whether any live entry lies in [lo, hi).
+    bool any_in(const std::uint64_t* lo, const std::uint64_t* hi) const noexcept;
+    void add_entry(std::uint64_t* addr, std::uint64_t val);
+    Pending pop_oldest() noexcept { return buf_[head_++]; }
+    void clear() noexcept {
+      buf_.clear();
+      head_ = 0;
+    }
+
+   private:
+    std::vector<Pending> buf_;
+    std::size_t head_ = 0;
+  };
+
+  /// The durable image as shadow pages: one page per 4 KiB block of
+  /// addresses holding any durable word, with the block's words and a
+  /// presence bitmap (a word formatted or written back as 0 is present; a
+  /// word never persisted is absent and reads 0). Pages are found through
+  /// an open-addressed page table keyed by page number; the last page
+  /// found is remembered, so consecutive words cost one lookup.
+  /// Addresses are word-aligned (every caller passes a std::uint64_t*).
+  class ShadowImage {
+   public:
+    ShadowImage() = default;
+    ShadowImage(const ShadowImage& o);
+    ShadowImage(ShadowImage&& o) noexcept { swap(o); }
+    ShadowImage& operator=(ShadowImage o) noexcept {
+      swap(o);
+      return *this;
+    }
+
+    void get_range(const std::uint64_t* addr, std::size_t n,
+                   std::uint64_t* out) const noexcept;
+    void set_word(std::uint64_t* addr, std::uint64_t val);
+    /// Every present word with its value, page by page.
+    std::vector<std::pair<std::uint64_t*, std::uint64_t>> present_words() const;
+
+   private:
+    static constexpr unsigned kPageShift = 12;
+    static constexpr std::size_t kPageWords =
+        (std::size_t{1} << kPageShift) / sizeof(std::uint64_t);
+    static constexpr std::uintptr_t kNoPage = ~std::uintptr_t{0};
+
+    struct Page {
+      std::uint64_t words[kPageWords];
+      std::uint64_t present[kPageWords / 64];
+      std::uintptr_t number;  ///< address >> kPageShift
+    };
+    struct Slot {
+      std::uintptr_t number;  ///< kNoPage: empty
+      Page* page;
+    };
+
+    Page* find(std::uintptr_t number) const noexcept;
+    Page& find_or_add(std::uintptr_t number);
+    void index_page(Page* p) noexcept;
+    void swap(ShadowImage& o) noexcept;
+
+    std::vector<std::unique_ptr<Page>> pages_;  ///< creation order
+    std::vector<Slot> table_;  ///< power-of-two size, at most half full
+    mutable std::uintptr_t hit_number_ = kNoPage;  ///< last page found
+    mutable Page* hit_ = nullptr;
+  };
+
+  struct Image {
+    ShadowImage durable;
+    FlushQueue pending;
+  };
+
+  void drain_locked() PHTM_REQUIRES(lock_);
   void fence_impl(StatSheet* st, bool sync);
 
   mutable Spinlock lock_;
